@@ -48,19 +48,32 @@ func TestFactoryCoversRegistry(t *testing.T) {
 	}
 }
 
-// TestIndexNamesAreCoreStrategies asserts every predmatchd -index
-// choice resolves CoreOptions and appears in the index flag help.
-func TestIndexNamesAreCoreStrategies(t *testing.T) {
+// TestServingIndexIsHintAndIBS pins predmatchd's -index surface: the
+// flag help lists exactly hint and ibs, both resolve, and every other
+// registered name (the experiment-only structures included) is rejected
+// with an error naming the two.
+func TestServingIndexIsHintAndIBS(t *testing.T) {
 	help := strategy.IndexFlagHelp()
-	for _, name := range strategy.IndexNames() {
-		if _, ok := strategy.CoreOptions(name); !ok {
-			t.Errorf("IndexNames lists %q but CoreOptions rejects it", name)
-		}
-		if !strings.Contains(help, name) {
-			t.Errorf("index flag help omits %q: %s", name, help)
-		}
+	if !strings.HasSuffix(help, "(one of hint, ibs)") {
+		t.Errorf("index flag help = %q, want it to list exactly hint, ibs", help)
 	}
-	if _, ok := strategy.CoreOptions("rtree"); ok {
-		t.Error("CoreOptions accepted a whole-matcher strategy")
+	if _, name, err := strategy.ServingIndex("ibs"); err != nil || name != "" {
+		t.Errorf("ServingIndex(ibs) = %q, %v; want the zero-Config default", name, err)
+	}
+	if opts, name, err := strategy.ServingIndex("hint"); err != nil || len(opts) == 0 || name != "sharded-hint" {
+		t.Errorf("ServingIndex(hint) = %d opts, %q, %v", len(opts), name, err)
+	}
+	for _, bad := range append(strategy.Names(), "meta", "") {
+		if bad == "ibs" || bad == "hint" {
+			continue
+		}
+		_, _, err := strategy.ServingIndex(bad)
+		if err == nil {
+			t.Errorf("ServingIndex(%q) accepted", bad)
+			continue
+		}
+		if !strings.HasSuffix(err.Error(), "(want one of hint, ibs)") {
+			t.Errorf("ServingIndex(%q) error = %v, want the hint, ibs list", bad, err)
+		}
 	}
 }

@@ -43,8 +43,8 @@ func runStats(args []string) int {
 func printStats(w io.Writer, st *wire.Stats) {
 	fmt.Fprintf(w, "matcher %s: %d predicates, %d rules\n",
 		st.Matcher, st.Predicates, len(st.Rules))
-	fmt.Fprintf(w, "conns %d (%d subscribed), notifications %d delivered / %d dropped\n",
-		st.Conns, st.Subs, st.Delivered, st.Dropped)
+	fmt.Fprintf(w, "conns %d (%d subscribed), notifications %d generated = %d delivered + %d dropped + %d pending\n",
+		st.Conns, st.Subs, st.Generated, st.Delivered, st.Dropped, st.Pending)
 	if st.Prefilter != nil {
 		total := st.Prefilter.Admitted + st.Prefilter.Skipped
 		pct := 0.0
@@ -85,24 +85,6 @@ func printStats(w io.Writer, st *wire.Stats) {
 			fmt.Fprintf(w, "  %-12s %6d predicates  version %d", sh.Rel, sh.Predicates, sh.Version)
 			if sh.Structure != "" {
 				fmt.Fprintf(w, "  structure %s", sh.Structure)
-			}
-			fmt.Fprintf(w, "\n")
-		}
-	}
-	if st.Meta != nil {
-		fmt.Fprintf(w, "adaptive index (default %s):\n", st.Meta.Default)
-		for _, d := range st.Meta.Rels {
-			// The reason is the decision sentence ("hint, because
-			// stab-heavy/low-write (…), est 0.3µs vs 2.1µs (ibs)"); it
-			// leads with the chosen structure, so the row only prefixes
-			// the relation and appends migration history.
-			why := d.Reason
-			if why == "" {
-				why = d.Structure
-			}
-			fmt.Fprintf(w, "  relation %s: %s", d.Rel, why)
-			if d.Migrations > 0 {
-				fmt.Fprintf(w, " [%d migrations, resident %.0fs]", d.Migrations, d.SinceSecs)
 			}
 			fmt.Fprintf(w, "\n")
 		}

@@ -110,34 +110,3 @@ func TestSlowestTraced(t *testing.T) {
 		t.Errorf("top-3 = %v", got)
 	}
 }
-
-// TestParsePhases pins the -phases flag grammar: the default steady
-// mix, the three named phases in order, and rejection of unknown names.
-func TestParsePhases(t *testing.T) {
-	steady, err := parsePhases(" ")
-	if err != nil || len(steady) != 1 || steady[0].name != "steady" {
-		t.Fatalf("default phases = %+v, %v", steady, err)
-	}
-	if m := steady[0].mix; m.insert+m.update+m.delete != 80 || m.churn != 0 {
-		t.Fatalf("steady mix changed: %+v", m)
-	}
-	specs, err := parsePhases("read-heavy, write-heavy,mixed")
-	if err != nil || len(specs) != 3 {
-		t.Fatalf("parsePhases = %+v, %v", specs, err)
-	}
-	for i, want := range []string{"read-heavy", "write-heavy", "mixed"} {
-		if specs[i].name != want {
-			t.Fatalf("phase %d = %q, want %q", i, specs[i].name, want)
-		}
-	}
-	// Read-heavy is probe-dominated; write-heavy churns predicates.
-	if m := specs[0].mix; m.insert+m.update+m.delete+m.churn >= 20 {
-		t.Fatalf("read-heavy mix not probe-dominated: %+v", m)
-	}
-	if specs[1].mix.churn == 0 {
-		t.Fatal("write-heavy phase has no predicate churn")
-	}
-	if _, err := parsePhases("read-heavy,bogus"); err == nil {
-		t.Fatal("unknown phase accepted")
-	}
-}

@@ -14,13 +14,11 @@
 //	           [-snapshot-every 0] [-follow leader-addr]
 //	           [-trace-sample 0] [-trace-buf 256]
 //
-// -index picks the per-shard attribute index structure from the shared
-// strategy registry (internal/strategy): the paper's IBS-trees by
-// default, or hint, islist, pst, segtree, inttree, augtree — run -h for
-// the current list. `-index meta` instead runs the adaptive engine
-// (internal/meta): each relation starts on IBS-trees and is migrated
-// online between ibs, islist and hint as its observed stab/write mix
-// dictates; `predmatch stats` shows the per-relation decisions.
+// -index picks the per-shard attribute index structure: ibs, the
+// paper's IBS-trees (the default), or hint, the flat HINT hierarchy
+// that measured fastest in every BENCH_PR10 workload cell. Any other
+// value exits 2. The registry's other structures (islist, pst, …) are
+// experiment-only: `predmatch -matcher` and cmd/experiments run them.
 //
 // With -admin, a second HTTP listener serves the operational surface:
 // /metrics (Prometheus), /varz (JSON), /healthz, /traces and
@@ -110,11 +108,10 @@ func main() {
 	reg := obs.NewRegistry()
 	obs.RegisterRuntime(reg)
 
-	if *indexName != "meta" {
-		if _, ok := strategy.CoreOptions(*indexName); !ok {
-			fmt.Fprintf(os.Stderr, "predmatchd: %v\n", strategy.UnknownIndexErr(*indexName))
-			os.Exit(2)
-		}
+	indexOpts, matcherName, err := strategy.ServingIndex(*indexName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "predmatchd: %v\n", err)
+		os.Exit(2)
 	}
 
 	cfg := server.Config{
@@ -126,6 +123,8 @@ func main() {
 		Registry:     reg,
 		Logger:       logger,
 		SlowRequest:  *slowReq,
+		IndexOptions: indexOpts,
+		MatcherName:  matcherName,
 		// The tracer is always on: client-initiated traces and slow-trace
 		// retention work without any flag; -trace-sample adds server-side
 		// head sampling on top.
@@ -134,20 +133,6 @@ func main() {
 			Slow:        *slowReq,
 			Capacity:    *traceBuf,
 		}),
-	}
-	switch *indexName {
-	case "ibs":
-		// The default keeps the zero-Config behavior (and its
-		// instrumented tree counters).
-	case "meta":
-		// The adaptive engine: warm-up on ibs, migrate per relation as
-		// the workload profile dictates.
-		ac := strategy.MetaConfig("ibs")
-		cfg.Adaptive = &ac
-	default:
-		// The strategy registry supplies the per-shard attribute index.
-		cfg.IndexOptions, _ = strategy.CoreOptions(*indexName)
-		cfg.MatcherName = "sharded-" + *indexName
 	}
 	if *verbose {
 		cfg.Logf = func(format string, args ...any) {

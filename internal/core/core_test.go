@@ -227,60 +227,3 @@ func TestTreesStatsWithSkipListFactory(t *testing.T) {
 		t.Fatalf("skip-list stats not surfaced: %+v", stats[0])
 	}
 }
-
-// TestRebuild migrates a populated index to a different attribute
-// structure and differentially checks that the rebuilt index matches
-// exactly like the original, which must itself stay untouched.
-func TestRebuild(t *testing.T) {
-	f := matchertest.NewFixture()
-	rng := rand.New(rand.NewSource(11))
-	ix := core.New(f.Catalog, f.Funcs)
-	for id := pred.ID(1); id <= 200; id++ {
-		if err := ix.Add(f.RandomPredicate(rng, id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rebuilt, err := ix.Rebuild(
-		core.WithIndexFactory(func() core.AttrIndex { return islist.New(value.Compare) }),
-		core.WithName("islist"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Name() != "islist" || ix.Name() != "ibs" {
-		t.Fatalf("names: rebuilt=%q orig=%q", rebuilt.Name(), ix.Name())
-	}
-	if rebuilt.Len() != ix.Len() {
-		t.Fatalf("Len: rebuilt=%d orig=%d", rebuilt.Len(), ix.Len())
-	}
-	for i := 0; i < 500; i++ {
-		rel := f.Rels[rng.Intn(len(f.Rels))]
-		tup := f.RandomTuple(rng, rel)
-		a, err := ix.MatchSnapshot(rel.Name(), tup, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := rebuilt.MatchSnapshot(rel.Name(), tup, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
-		if len(a) != len(b) {
-			t.Fatalf("probe %d: orig %v vs rebuilt %v", i, a, b)
-		}
-		for k := range a {
-			if a[k] != b[k] {
-				t.Fatalf("probe %d: orig %v vs rebuilt %v", i, a, b)
-			}
-		}
-	}
-	// The rebuilt index is independently mutable: removing there must
-	// not affect the original.
-	var someID pred.ID = 1
-	if err := rebuilt.Remove(someID); err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt.Len() != ix.Len()-1 {
-		t.Fatalf("after Remove: rebuilt=%d orig=%d", rebuilt.Len(), ix.Len())
-	}
-}

@@ -73,10 +73,17 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 			}
 			return float64(total)
 		})
+	reg.CounterFunc("predmatch_notify_generated_total",
+		"Notifications offered to subscribed connections.", s.ledger.generated.Load)
 	reg.CounterFunc("predmatch_notify_delivered_total",
-		"Notifications written to clients.", s.delivered.Load)
+		"Notifications written to clients.", s.ledger.delivered.Load)
 	reg.CounterFunc("predmatch_notify_dropped_total",
-		"Notifications dropped by the overflow policy.", s.dropped.Load)
+		"Notifications dropped by the overflow policy or lost with a closed connection.", s.ledger.dropped.Load)
+	reg.GaugeFunc("predmatch_notify_pending",
+		"Notifications generated but not yet delivered or dropped (queued or being written).", func() float64 {
+			_, _, _, pending := s.ledger.read()
+			return float64(pending)
+		})
 	m.streamedRecords = reg.Counter("predmatch_repl_streamed_records_total",
 		"WAL records streamed to followers.")
 	m.streamedBytes = reg.Counter("predmatch_repl_streamed_bytes_total",

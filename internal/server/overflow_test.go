@@ -35,8 +35,13 @@ func TestServerOverflowPolicy(t *testing.T) {
 	if sub.drops != 3 {
 		t.Fatalf("drops = %d, want 3", sub.drops)
 	}
-	if got := s.dropped.Load(); got != 3 {
-		t.Fatalf("global dropped = %d, want 3", got)
+	// All five were generated; the two queued ones are pending until a
+	// writer delivers them.
+	if g, d, dr, p := s.ledger.read(); g != 5 || d != 0 || dr != 3 || p != 2 {
+		t.Fatalf("global ledger = %d generated, %d delivered, %d dropped, %d pending; want 5, 0, 3, 2", g, d, dr, p)
+	}
+	if g, _, dr, p := c.ledger.read(); g != 5 || dr != 3 || p != 2 {
+		t.Fatalf("conn ledger = %d generated, %d dropped, %d pending; want 5, 3, 2", g, dr, p)
 	}
 	if len(c.notes) != 2 {
 		t.Fatalf("queued = %d, want 2", len(c.notes))

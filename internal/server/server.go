@@ -43,7 +43,6 @@ import (
 	"predmatch/internal/core"
 	"predmatch/internal/engine"
 	"predmatch/internal/ibs"
-	"predmatch/internal/meta"
 	"predmatch/internal/obs"
 	"predmatch/internal/pred"
 	"predmatch/internal/shard"
@@ -116,13 +115,6 @@ type Config struct {
 	// IndexOptions swap the attribute structure (default "" = keep
 	// "sharded").
 	MatcherName string
-	// Adaptive, when non-nil, runs the meta engine: per-relation index
-	// structures are chosen by a workload cost model and migrated
-	// online (`predmatchd -index meta`). The server fills the config's
-	// Profiles and Registry from its own; IndexOptions still apply as
-	// the base every candidate's options append to. The engine's
-	// background loop starts with the server and stops on Shutdown.
-	Adaptive *meta.Config
 	// FollowerOf starts the server as a replication follower of the
 	// leader at this address: mutations and DDL are rejected with a
 	// redirect, and state arrives by applying the leader's WAL stream
@@ -240,8 +232,9 @@ type Server struct {
 	subMu sync.Mutex
 	subs  map[*conn]*subscription // guarded-by: subMu
 
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
+	// ledger is the daemon-wide notification account; each conn keeps
+	// its own as well.
+	ledger noteLedger
 
 	// met holds the request-path metric handles; nil when cfg.Registry
 	// is nil, which compiles the instrumentation down to nil checks.
@@ -252,12 +245,6 @@ type Server struct {
 	// surface and /varz; always on — its cost is a few uncontended
 	// atomic adds per operation. See internal/trace.Profiles.
 	prof *trace.Profiles
-
-	// meta is the adaptive index engine (nil unless cfg.Adaptive). Its
-	// background loop is started by Open after recovery and stopped by
-	// Shutdown; metaStarted guards Stop against a loop that never ran.
-	meta        *meta.Engine
-	metaStarted bool
 }
 
 // subscription is one connection's notification filter and counters,
@@ -265,8 +252,29 @@ type Server struct {
 type subscription struct {
 	rules map[string]bool // nil = every rule
 	preds bool            // also stream direct-predicate matches
-	seq   uint64          // notifications generated (delivered + dropped)
+	seq   uint64          // notifications generated for this subscription
 	drops uint64          // notifications dropped by the overflow policy
+}
+
+// noteLedger accounts for notifications. Every notification offered to
+// a connection is counted generated first. It then stays pending
+// (queued, or being written) until it is delivered (written to the
+// socket) or dropped (by the overflow policy, or because its connection
+// closed before writing it). Only generated, delivered and dropped are
+// stored; pending is their difference, read so it is never negative.
+type noteLedger struct {
+	generated, delivered, dropped atomic.Uint64
+}
+
+// read returns the ledger with generated = delivered + dropped + pending
+// exactly. A notification is counted generated before it can be counted
+// delivered or dropped, and generated is loaded last, so it covers
+// every notification the two earlier loads counted.
+func (l *noteLedger) read() (generated, delivered, dropped, pending uint64) {
+	delivered = l.delivered.Load()
+	dropped = l.dropped.Load()
+	generated = l.generated.Load()
+	return generated, delivered, dropped, generated - delivered - dropped
 }
 
 // New builds a daemon with an empty database, the built-in function
@@ -281,9 +289,8 @@ func New(cfg Config) *Server {
 }
 
 // newServer assembles the in-memory daemon; Open layers recovery and
-// the WAL on top. cfg must already be filled. The only error is an
-// invalid cfg.Adaptive.
-func newServer(cfg Config) (*Server, error) {
+// the WAL on top. cfg must already be filled.
+func newServer(cfg Config) *Server {
 	s := &Server{
 		cfg:         cfg,
 		db:          storage.NewDB(),
@@ -334,32 +341,10 @@ func newServer(cfg Config) (*Server, error) {
 	if cfg.MatcherName != "" {
 		smOpts = append(smOpts, shard.WithName(cfg.MatcherName))
 	}
-	if cfg.Adaptive != nil {
-		// The engine reads the server's own profile accumulator and
-		// publishes into the server's registry; the caller only supplies
-		// candidates, fallback and pacing.
-		ac := *cfg.Adaptive
-		ac.Profiles = s.prof
-		ac.Registry = cfg.Registry
-		me, err := meta.New(ac)
-		if err != nil {
-			return nil, fmt.Errorf("server: adaptive index config: %w", err)
-		}
-		s.meta = me
-		// New shards of a relation with a standing decision are born on
-		// the decided structure rather than re-migrated.
-		smOpts = append(smOpts, shard.WithIndexChooser(me.Options))
-		if cfg.MatcherName == "" {
-			smOpts = append(smOpts, shard.WithName("meta"))
-		}
-	}
 	s.sm = shard.New(s.db.Catalog(), s.funcs, smOpts...)
 	// Install the profile accumulator before any predicate registration
 	// (recovery replay included): shards resolve their handle at creation.
 	s.sm.SetProfiles(s.prof)
-	if s.meta != nil {
-		s.meta.Bind(s.sm)
-	}
 	s.eng = engine.New(s.db, s.funcs, s.sm, engOpts...)
 	s.met = newServerMetrics(cfg.Registry, s)
 	s.eng.OnFire(s.onFire)
@@ -367,12 +352,8 @@ func newServer(cfg Config) (*Server, error) {
 	// re-stabs the index for events whenever some subscriber asked for
 	// direct-predicate matches.
 	s.db.Observe(s.onEventPreds)
-	return s, nil
+	return s
 }
-
-// Meta exposes the adaptive index engine (nil unless Config.Adaptive);
-// tests and the daemon's stats surface read decisions through it.
-func (s *Server) Meta() *meta.Engine { return s.meta }
 
 // ListenAndServe listens on cfg.Addr and serves until Shutdown/Close.
 func (s *Server) ListenAndServe() error {
@@ -473,8 +454,12 @@ func (s *Server) removeConn(c *conn) {
 	s.subMu.Lock()
 	delete(s.subs, c)
 	s.subMu.Unlock()
+	// No offer reaches c any more and its writer has exited: whatever it
+	// still held unwritten is lost with the connection.
+	_, delivered, _, lost := c.ledger.read()
+	s.ledger.dropped.Add(lost)
 	s.cfg.Logger.Debug("connection closed",
-		"remote", c.nc.RemoteAddr().String(), "delivered", c.delivered.Load())
+		"remote", c.nc.RemoteAddr().String(), "delivered", delivered, "lost", lost)
 }
 
 // Stopping reports whether Shutdown or Close has begun; the admin
@@ -495,9 +480,6 @@ func (s *Server) Stopping() bool {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.closeOnce.Do(func() {
 		close(s.done)
-		if s.metaStarted {
-			s.meta.Stop()
-		}
 	})
 	s.lnMu.Lock()
 	if s.ln != nil {
@@ -637,11 +619,16 @@ func (s *Server) onEventPreds(ev storage.Event) error {
 // policy is drop-newest, counted per subscription and globally.
 // Callers hold subMu.
 func (s *Server) offer(c *conn, sub *subscription, m wire.Message) {
+	// Count it generated before the enqueue: the writer may deliver it
+	// the moment it is queued.
+	s.ledger.generated.Add(1)
+	c.ledger.generated.Add(1)
 	select {
 	case c.notes <- m:
 	default:
 		sub.drops++
-		s.dropped.Add(1)
+		s.ledger.dropped.Add(1)
+		c.ledger.dropped.Add(1)
 	}
 }
 
@@ -660,9 +647,9 @@ type conn struct {
 	// writerGone is closed when the writer exits (write error or
 	// drain complete), unblocking a reader stuck on a full resp queue.
 	writerGone chan struct{}
-	// delivered counts notifications written to this connection, for
-	// the per-connection stats breakdown.
-	delivered atomic.Uint64
+	// ledger accounts for the notifications offered to this
+	// connection, for the per-connection stats breakdown.
+	ledger noteLedger
 	// replica marks a connection serving a replication stream; replSeq
 	// is the last sequence shipped to it (stats surface).
 	replica atomic.Bool
@@ -751,8 +738,8 @@ func (c *conn) writeLoop() {
 			return false
 		}
 		if m.Type == wire.TypeNotify {
-			c.s.delivered.Add(1)
-			c.delivered.Add(1)
+			c.s.ledger.delivered.Add(1)
+			c.ledger.delivered.Add(1)
 		}
 		return true
 	}
@@ -1284,9 +1271,8 @@ func (s *Server) handleStats(req *wire.Request) wire.Message {
 		Rules:      s.eng.Rules(),
 		Matcher:    s.sm.Name(),
 		Predicates: s.sm.Len(),
-		Delivered:  s.delivered.Load(),
-		Dropped:    s.dropped.Load(),
 	}
+	st.Generated, st.Delivered, st.Dropped, st.Pending = s.ledger.read()
 	if pf, ok := s.sm.PrefilterStats(); ok {
 		st.Prefilter = &wire.PrefilterStat{Admitted: pf.Admitted, Skipped: pf.Skipped}
 	}
@@ -1305,19 +1291,6 @@ func (s *Server) handleStats(req *wire.Request) wire.Message {
 			Rel: sh.Rel, Predicates: sh.Predicates, Version: sh.Version,
 			Structure: sh.Structure,
 		})
-	}
-	if s.meta != nil {
-		ms := &wire.MetaStat{Default: s.meta.Default()}
-		for _, d := range s.meta.Stats() {
-			ms.Rels = append(ms.Rels, wire.MetaRelStat{
-				Rel: d.Rel, Structure: d.Strategy,
-				SinceSecs: d.Since.Seconds(), Migrations: d.Migrations,
-				Reason: d.Reason, EstNS: d.EstNS,
-				AltName: d.AltName, AltNS: d.AltNS,
-				StabRate: d.StabRate, WriteRate: d.WriteRate,
-			})
-		}
-		st.Meta = ms
 	}
 	for _, ts := range s.sm.Trees() {
 		st.Trees = append(st.Trees, wire.TreeStat{
@@ -1350,16 +1323,15 @@ func (s *Server) handleStats(req *wire.Request) wire.Message {
 	st.Subs = len(s.subs)
 	for _, c := range conns {
 		cs := wire.ConnStat{
-			Remote:    c.nc.RemoteAddr().String(),
-			Queue:     len(c.notes),
-			QueueCap:  cap(c.notes),
-			Delivered: c.delivered.Load(),
-			Replica:   c.replica.Load(),
-			ReplSeq:   c.replSeq.Load(),
+			Remote:   c.nc.RemoteAddr().String(),
+			Queue:    len(c.notes),
+			QueueCap: cap(c.notes),
+			Replica:  c.replica.Load(),
+			ReplSeq:  c.replSeq.Load(),
 		}
+		cs.Generated, cs.Delivered, cs.Dropped, cs.Pending = c.ledger.read()
 		if sub, ok := s.subs[c]; ok {
 			cs.Subscribed = true
-			cs.Dropped = sub.drops
 			cs.LastSeq = sub.seq
 			for r := range sub.rules {
 				cs.Rules = append(cs.Rules, r)

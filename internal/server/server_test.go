@@ -620,11 +620,31 @@ func TestServerSlowSubscriberDoesNotBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d inserts in %v with a stalled subscriber; delivered=%d dropped=%d",
-		ops, elapsed, st.Delivered, st.Dropped)
-	if st.Delivered+st.Dropped < ops {
-		t.Fatalf("notification accounting lost events: delivered=%d dropped=%d, want ≥%d",
-			st.Delivered, st.Dropped, ops)
+	t.Logf("%d inserts in %v with a stalled subscriber; generated=%d delivered=%d dropped=%d pending=%d",
+		ops, elapsed, st.Generated, st.Delivered, st.Dropped, st.Pending)
+	// Every insert fired the rule once for the one subscriber, and each
+	// firing is counted exactly once: delivered, dropped, or still
+	// pending in the queue (4) or the writer (1).
+	if st.Generated != ops {
+		t.Fatalf("generated = %d, want %d", st.Generated, ops)
+	}
+	if st.Generated != st.Delivered+st.Dropped+st.Pending {
+		t.Fatalf("generated %d != delivered %d + dropped %d + pending %d",
+			st.Generated, st.Delivered, st.Dropped, st.Pending)
+	}
+	if st.Pending > 4+1 {
+		t.Fatalf("pending = %d, want at most the queue (4) plus one in write", st.Pending)
+	}
+	// The per-connection ledger obeys the same identity while the
+	// stalled connection is open (the write timeout may close it first).
+	for _, cs := range st.Connections {
+		if !cs.Subscribed {
+			continue
+		}
+		if cs.Generated != ops || cs.Generated != cs.Delivered+cs.Dropped+cs.Pending {
+			t.Fatalf("conn %s: generated %d, delivered %d + dropped %d + pending %d, want %d generated",
+				cs.Remote, cs.Generated, cs.Delivered, cs.Dropped, cs.Pending, ops)
+		}
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package strategy is the single registry of predicate-matching
 // strategies: every way this repository can stand up a matcher.Matcher,
-// keyed by the name users pass to `predmatch -matcher`, `predmatchd
-// -index`, the benchmarks, and the cross-strategy conformance sweep.
-// The binaries derive their flag help from this registry, so the
-// documented list can never drift from the implemented one (a test
-// asserts exactly that).
+// keyed by the name users pass to `predmatch -matcher`, the
+// benchmarks, and the cross-strategy conformance sweep. The binaries
+// derive their flag help from this registry, so the documented list can
+// never drift from the implemented one (a test asserts exactly that).
 //
 // Two families live here:
 //
@@ -13,13 +12,13 @@
 //   - Attribute-index strategies (ibs, islist, pst, hint…): the paper's
 //     Figure-1 scheme (core.Index) with the per-attribute interval
 //     structure swapped via core.WithIndexFactory. These also report
-//     CoreOptions, which lets predmatchd run the sharded serving layer
-//     with any of them as the per-shard tree.
+//     CoreOptions, the option set that puts the structure under the
+//     sharded serving layer. predmatchd serves only two of them (see
+//     ServingIndex); the rest are experiment-only comparators.
 package strategy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"predmatch/internal/augtree"
@@ -148,11 +147,6 @@ var registry = []Info{
 				shard.WithName("sharded-hint"))
 		},
 	},
-	{
-		Name:    "meta",
-		Summary: "adaptive: per-relation structure chosen by a workload cost model, migrated online",
-		New:     newMeta,
-	},
 }
 
 func ibsUnbalancedOpts() []core.Option {
@@ -186,19 +180,6 @@ func Names() []string {
 	return out
 }
 
-// IndexNames returns the names usable as a per-shard attribute index
-// (the strategies CoreOptions resolves), sorted.
-func IndexNames() []string {
-	var out []string
-	for _, in := range registry {
-		if in.coreOpts != nil {
-			out = append(out, in.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // CoreOptions returns the core.Option set that makes a core.Index use
 // the named strategy's attribute structure; ok is false for
 // whole-matcher strategies (hashseq, rtree, sharded, …) that don't
@@ -217,21 +198,37 @@ func FlagHelp() string {
 	return "matching strategy (one of " + strings.Join(Names(), ", ") + ")"
 }
 
-// IndexFlagHelp renders the usage string for predmatchd's -index flag:
-// the strategies that can serve as a per-shard attribute index, plus
-// "meta" — the adaptive engine that picks among them per relation.
-func IndexFlagHelp() string {
-	return "per-shard attribute index structure (one of " + strings.Join(IndexNames(), ", ") +
-		", or meta for workload-adaptive selection with online migration)"
-}
-
 // UnknownErr builds the standard unknown-strategy error, naming every
 // valid choice.
 func UnknownErr(name string) error {
 	return fmt.Errorf("unknown matcher %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
-// UnknownIndexErr is UnknownErr for the attribute-index subset.
-func UnknownIndexErr(name string) error {
-	return fmt.Errorf("unknown index %q (want one of %s)", name, strings.Join(IndexNames(), ", "))
+// servingIndexes are the attribute-index structures predmatchd serves
+// behind -index, in help order: hint, the fastest fixed structure in
+// every BENCH_PR10 workload cell, and ibs, the paper's structure and
+// the default. The other attribute-index strategies stay in the
+// registry as experiment-only comparators (docs/MATCHERS.md, "Serving
+// structures").
+const servingIndexes = "hint, ibs"
+
+// IndexFlagHelp is the usage string of predmatchd's -index flag.
+func IndexFlagHelp() string {
+	return "per-shard attribute index structure (one of " + servingIndexes + ")"
+}
+
+// ServingIndex resolves a predmatchd -index value to the server's
+// per-shard index options and reported matcher name. ibs returns nil
+// options and an empty name, which keeps the server's zero-Config
+// behavior (and its instrumented tree counters). Any other name than
+// ibs or hint is an error naming the two.
+func ServingIndex(name string) (opts []core.Option, matcherName string, err error) {
+	switch name {
+	case "ibs":
+		return nil, "", nil
+	case "hint":
+		opts, _ = CoreOptions(name)
+		return opts, "sharded-hint", nil
+	}
+	return nil, "", fmt.Errorf("unknown index %q (want one of %s)", name, servingIndexes)
 }

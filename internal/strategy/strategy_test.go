@@ -5,9 +5,7 @@ import (
 
 	"predmatch/internal/matcher"
 	"predmatch/internal/matchertest"
-	"predmatch/internal/meta"
 	"predmatch/internal/strategy"
-	"predmatch/internal/trace"
 )
 
 func TestRegistryShape(t *testing.T) {
@@ -32,7 +30,7 @@ func TestRegistryShape(t *testing.T) {
 	// The ten strategies the conformance sweep must cover, by contract.
 	for _, want := range []string{
 		"ibs", "ibs-unbalanced", "hashseq", "seqscan", "rtree",
-		"islist", "segtree", "inttree", "pst", "hint", "meta",
+		"islist", "segtree", "inttree", "pst", "hint",
 	} {
 		if !seen[want] {
 			t.Errorf("registry is missing strategy %q", want)
@@ -48,7 +46,7 @@ func TestRegistryShape(t *testing.T) {
 			t.Errorf("CoreOptions(%q) = false", n)
 		}
 	}
-	for _, n := range []string{"hashseq", "seqscan", "rtree", "sharded", "sharded-hint", "meta"} {
+	for _, n := range []string{"hashseq", "seqscan", "rtree", "sharded", "sharded-hint"} {
 		if _, ok := strategy.CoreOptions(n); ok {
 			t.Errorf("CoreOptions(%q) = true for a whole-matcher strategy", n)
 		}
@@ -76,7 +74,7 @@ func TestConformanceAllStrategies(t *testing.T) {
 // covered by the same harness behind matchertest.Synchronized in their
 // own packages.
 func TestConcurrentServingStrategies(t *testing.T) {
-	for _, name := range []string{"sharded", "sharded-hint", "meta"} {
+	for _, name := range []string{"sharded", "sharded-hint"} {
 		in, ok := strategy.Lookup(name)
 		if !ok {
 			t.Fatalf("strategy %q not registered", name)
@@ -86,26 +84,5 @@ func TestConcurrentServingStrategies(t *testing.T) {
 				return in.New(f.Catalog, f.Funcs)
 			})
 		})
-	}
-}
-
-// TestMetaConfigValid proves the adaptive configuration the binaries
-// build is accepted by the engine for every legal fallback (newMeta
-// panics otherwise), and that illegal fallbacks are caught up front.
-func TestMetaConfigValid(t *testing.T) {
-	for _, fb := range []string{"ibs", "islist", "hint"} {
-		if !strategy.MetaFallbackOK(fb) {
-			t.Errorf("MetaFallbackOK(%q) = false", fb)
-		}
-		cfg := strategy.MetaConfig(fb)
-		cfg.Profiles = trace.NewProfiles()
-		if _, err := meta.New(cfg); err != nil {
-			t.Errorf("MetaConfig(%q): %v", fb, err)
-		}
-	}
-	for _, fb := range []string{"seqscan", "sharded", "nope", ""} {
-		if strategy.MetaFallbackOK(fb) {
-			t.Errorf("MetaFallbackOK(%q) = true", fb)
-		}
 	}
 }

@@ -1,18 +1,17 @@
 package trace
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Profiles accumulates the per-relation / per-attribute workload
-// observations the adaptive meta-matcher (ROADMAP item 1) needs to
-// select index structures: stab volume and latency, observed
-// selectivity (results per stab), write volume, and a histogram of
-// which attributes the index actually consults per probe. It is fed
+// Profiles accumulates per-relation / per-attribute workload
+// observations: stab volume and latency, observed selectivity (results
+// per stab), write volume, and a histogram of which attributes the
+// index actually consults per probe. The daemon serves them as the
+// stats "workload profile" table and the predmatch_workload_* metrics. It is fed
 // directly from the hot paths (not from sampled spans), so the numbers
 // describe the full workload, and every counter is a plain atomic —
 // the cost per probe is a handful of uncontended atomic adds, matching
@@ -74,31 +73,6 @@ func (p *Profiles) Lookup(rel string) *RelProfile {
 		return nil
 	}
 	return (*p.rels.Load())[rel]
-}
-
-// Drop removes rel's accumulator so a dropped relation cannot leak its
-// profile forever. Callers that cached the RelProfile handle keep a
-// functioning (but orphaned) accumulator; the next Rel call for the
-// same name starts fresh. Nil-safe and idempotent. Consumers holding a
-// Window over these profiles prune their own per-relation state on the
-// next Update.
-func (p *Profiles) Drop(rel string) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	cur := *p.rels.Load()
-	if _, ok := cur[rel]; !ok {
-		return
-	}
-	next := make(map[string]*RelProfile, len(cur)-1)
-	for k, v := range cur {
-		if k != rel {
-			next[k] = v
-		}
-	}
-	p.rels.Store(&next)
 }
 
 // RelProfile is one relation's accumulator. All counters are
@@ -195,153 +169,4 @@ func (p *Profiles) Snapshot() []RelProfileStat {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Relation < out[j].Relation })
 	return out
-}
-
-// WindowStat is the decayed (recent-workload) view of one relation: the
-// rates and averages a consumer of Window.Update reads instead of the
-// lifetime counters. Rates are exponentially weighted moving averages,
-// so a workload shift (read-heavy → write-heavy) moves them within a
-// few half-lives while a one-tick burst does not whipsaw them.
-type WindowStat struct {
-	Relation string
-	// StabRate/WriteRate/SkipRate are EWMA events-per-second.
-	StabRate  float64
-	WriteRate float64
-	SkipRate  float64
-	// AvgStabNS is the EWMA per-stab latency in nanoseconds; AvgResults
-	// the EWMA matches-per-stab (observed selectivity). Both fold in
-	// only over update intervals that actually saw stabs.
-	AvgStabNS  float64
-	AvgResults float64
-	// Lifetime carries the raw monotonic counters behind the view.
-	Lifetime RelProfileStat
-}
-
-// relWindow is one relation's EWMA state plus the last raw counters the
-// deltas are taken against.
-type relWindow struct {
-	prev RelProfileStat
-	stat WindowStat
-}
-
-// Window is a consumer-owned decayed view over a Profiles accumulator:
-// each Update diffs the raw counters against the previous call and
-// folds the interval's rates into per-relation EWMAs with the
-// configured half-life. The zero of everything is handled (first Update
-// only seeds baselines), relations dropped from the Profiles (see
-// Profiles.Drop) are pruned on the next Update, and the caller supplies
-// the clock, so tests can drive it deterministically. One Window has
-// one owner: methods are serialized by its own mutex, but distinct
-// consumers should hold distinct Windows (each diffs against its own
-// baselines).
-type Window struct {
-	prof     *Profiles
-	halfLife time.Duration
-
-	mu   sync.Mutex
-	last time.Time             // guarded-by: mu
-	rels map[string]*relWindow // guarded-by: mu
-}
-
-// DefaultHalfLife is the Window decay used when none is configured.
-const DefaultHalfLife = 10 * time.Second
-
-// NewWindow returns a decayed view over p with the given EWMA half-life
-// (0 = DefaultHalfLife).
-func NewWindow(p *Profiles, halfLife time.Duration) *Window {
-	if halfLife <= 0 {
-		halfLife = DefaultHalfLife
-	}
-	return &Window{prof: p, halfLife: halfLife, rels: make(map[string]*relWindow)}
-}
-
-// Update advances the window to now and returns every relation's
-// current decayed view, sorted by relation name. The first call only
-// seeds the baselines (all rates zero); calls with a non-positive
-// elapsed interval return the current view unchanged.
-func (w *Window) Update(now time.Time) []WindowStat {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	cur := w.prof.Snapshot()
-	if !w.last.IsZero() {
-		if dt := now.Sub(w.last).Seconds(); dt > 0 {
-			// alpha = 1 - 2^(-dt/halfLife): after one half-life an old
-			// rate contributes half of the new estimate.
-			alpha := 1 - math.Exp2(-dt/w.halfLife.Seconds())
-			for i := range cur {
-				w.fold(&cur[i], dt, alpha)
-			}
-			w.last = now
-		}
-	} else {
-		w.last = now
-		for i := range cur {
-			w.rels[cur[i].Relation] = &relWindow{
-				prev: cur[i],
-				stat: WindowStat{Relation: cur[i].Relation, Lifetime: cur[i]},
-			}
-		}
-	}
-	// Prune relations the accumulator no longer tracks (Profiles.Drop),
-	// then render the surviving views.
-	live := make(map[string]bool, len(cur))
-	for i := range cur {
-		live[cur[i].Relation] = true
-	}
-	out := make([]WindowStat, 0, len(w.rels))
-	for rel, rw := range w.rels {
-		if !live[rel] {
-			delete(w.rels, rel)
-			continue
-		}
-		out = append(out, rw.stat)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Relation < out[j].Relation })
-	return out
-}
-
-// fold updates one relation's EWMA state from the delta between its
-// previous and current raw counters.
-//
-//predmatchvet:holds mu
-func (w *Window) fold(cur *RelProfileStat, dt, alpha float64) {
-	rw := w.rels[cur.Relation]
-	if rw == nil {
-		// A relation born inside the interval: its whole lifetime is the
-		// interval, so the instantaneous rates below are right.
-		rw = &relWindow{stat: WindowStat{Relation: cur.Relation}}
-		w.rels[cur.Relation] = rw
-	}
-	dStabs := float64(cur.Stabs - rw.prev.Stabs)
-	dWrites := float64(cur.Writes - rw.prev.Writes)
-	dSkips := float64(cur.Skipped - rw.prev.Skipped)
-	dResults := float64(cur.Results - rw.prev.Results)
-	dStabSecs := cur.StabSecs - rw.prev.StabSecs
-	ewma := func(old, inst float64) float64 { return old + alpha*(inst-old) }
-	rw.stat.StabRate = ewma(rw.stat.StabRate, dStabs/dt)
-	rw.stat.WriteRate = ewma(rw.stat.WriteRate, dWrites/dt)
-	rw.stat.SkipRate = ewma(rw.stat.SkipRate, dSkips/dt)
-	if dStabs > 0 {
-		instNS := dStabSecs / dStabs * 1e9
-		instRes := dResults / dStabs
-		if rw.stat.AvgStabNS == 0 {
-			rw.stat.AvgStabNS, rw.stat.AvgResults = instNS, instRes
-		} else {
-			rw.stat.AvgStabNS = ewma(rw.stat.AvgStabNS, instNS)
-			rw.stat.AvgResults = ewma(rw.stat.AvgResults, instRes)
-		}
-	}
-	rw.stat.Lifetime = *cur
-	rw.prev = *cur
-}
-
-// Stat returns rel's current decayed view as of the last Update.
-func (w *Window) Stat(rel string) (WindowStat, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	rw, ok := w.rels[rel]
-	if !ok {
-		return WindowStat{}, false
-	}
-	return rw.stat, true
 }

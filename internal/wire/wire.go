@@ -148,32 +148,9 @@ type ShardStat struct {
 	Rel        string `json:"rel"`
 	Predicates int    `json:"predicates"`
 	Version    uint64 `json:"version"`
-	// Structure names the attribute-index structure currently serving
-	// the shard ("ibs", "hint", …) — under the adaptive meta engine it
-	// can change between stats calls.
+	// Structure names the attribute-index structure serving the shard
+	// ("ibs", "hint", …).
 	Structure string `json:"structure,omitempty"`
-}
-
-// MetaStat reports the adaptive meta engine's per-relation decisions
-// in the stats response.
-type MetaStat struct {
-	// Default is the warm-up/fallback structure relations start on.
-	Default string        `json:"default"`
-	Rels    []MetaRelStat `json:"rels,omitempty"`
-}
-
-// MetaRelStat is one relation's current adaptive-index decision.
-type MetaRelStat struct {
-	Rel        string  `json:"rel"`
-	Structure  string  `json:"structure"`
-	SinceSecs  float64 `json:"since_secs"`           // residency on the current structure
-	Migrations uint64  `json:"migrations,omitempty"` // online migrations so far
-	Reason     string  `json:"reason,omitempty"`     // human-readable last decision
-	EstNS      float64 `json:"est_ns,omitempty"`     // modelled cost/op of the choice
-	AltName    string  `json:"alt,omitempty"`        // best rejected alternative
-	AltNS      float64 `json:"alt_ns,omitempty"`
-	StabRate   float64 `json:"stab_rate,omitempty"`  // EWMA stabs/sec
-	WriteRate  float64 `json:"write_rate,omitempty"` // EWMA writes/sec
 }
 
 // ConnStat describes one client connection in the stats response: its
@@ -186,12 +163,16 @@ type ConnStat struct {
 	// capacity; a queue pinned at capacity is a slow consumer.
 	Queue    int `json:"queue"`
 	QueueCap int `json:"queue_cap"`
-	// Delivered counts notifications actually written to this
-	// connection; Dropped those the overflow policy discarded; LastSeq
-	// is the last sequence number generated for its subscription
-	// (LastSeq - Delivered - Queue ≈ Dropped).
+	// Generated counts notifications offered to this connection over its
+	// lifetime, Delivered those written to it, Dropped those the overflow
+	// policy discarded, and Pending those still queued or being written:
+	// Generated = Delivered + Dropped + Pending in every frame. LastSeq
+	// is the last sequence number generated for the current
+	// subscription.
+	Generated uint64 `json:"generated,omitempty"`
 	Delivered uint64 `json:"delivered"`
 	Dropped   uint64 `json:"dropped,omitempty"`
+	Pending   uint64 `json:"pending,omitempty"`
 	LastSeq   uint64 `json:"last_seq,omitempty"`
 	// Rules is the subscription's rule filter (empty = every rule).
 	Rules []string `json:"rules,omitempty"`
@@ -308,22 +289,27 @@ type AttrProfile struct {
 
 // Stats is the payload of a stats response.
 type Stats struct {
-	Rules       []string       `json:"rules"`
-	Matcher     string         `json:"matcher"`
-	Predicates  int            `json:"predicates"`
-	Prefilter   *PrefilterStat `json:"prefilter,omitempty"`
-	Profiles    []ProfileStat  `json:"profiles,omitempty"`
-	Shards      []ShardStat    `json:"shards,omitempty"`
-	Meta        *MetaStat      `json:"meta,omitempty"`
-	Trees       []TreeStat     `json:"trees,omitempty"`
-	Relations   []RelStat      `json:"relations,omitempty"`
-	WAL         *WALStat       `json:"wal,omitempty"`
-	Repl        *ReplStat      `json:"repl,omitempty"`
-	Conns       int            `json:"conns"`
-	Subs        int            `json:"subs"`
-	Delivered   uint64         `json:"delivered"`
-	Dropped     uint64         `json:"dropped"`
-	Connections []ConnStat     `json:"connections,omitempty"`
+	Rules      []string       `json:"rules"`
+	Matcher    string         `json:"matcher"`
+	Predicates int            `json:"predicates"`
+	Prefilter  *PrefilterStat `json:"prefilter,omitempty"`
+	Profiles   []ProfileStat  `json:"profiles,omitempty"`
+	Shards     []ShardStat    `json:"shards,omitempty"`
+	Trees      []TreeStat     `json:"trees,omitempty"`
+	Relations  []RelStat      `json:"relations,omitempty"`
+	WAL        *WALStat       `json:"wal,omitempty"`
+	Repl       *ReplStat      `json:"repl,omitempty"`
+	Conns      int            `json:"conns"`
+	Subs       int            `json:"subs"`
+	// Generated, Delivered, Dropped and Pending are the daemon-wide
+	// notification counters (see ConnStat): Generated = Delivered +
+	// Dropped + Pending in every frame. Dropped includes the
+	// notifications a connection still held when it closed.
+	Generated   uint64     `json:"generated"`
+	Delivered   uint64     `json:"delivered"`
+	Dropped     uint64     `json:"dropped"`
+	Pending     uint64     `json:"pending"`
+	Connections []ConnStat `json:"connections,omitempty"`
 }
 
 // Message is one server-to-client frame: a response when Type is
